@@ -5,11 +5,14 @@
 //! other 10 ms. Paper (backend, 84 ms total): event processing 51 ms,
 //! data (de)serialisation 20 ms, label management 13 ms.
 //!
-//! This harness reproduces both stacked bars: the frontend phases come
-//! from the middleware's own per-phase counters over a fixed request run;
-//! the backend phases are measured directly on the same artefacts the
-//! paper's pipeline exercises (aggregation callback work, STOMP
-//! encode/decode of a labelled event, label parse/combine/check).
+//! This harness reproduces both stacked bars. The frontend phases come
+//! from the middleware's own per-phase counters. The paper verified the
+//! password on every request; here only a credential's first presentation
+//! runs the KDF. So the Figure-5 rows are the *cold* requests (the first
+//! of each of the 20 MDT users), and the cached-credential cost gets rows
+//! of its own. The backend phases are measured directly on the same
+//! artefacts the paper's pipeline exercises (aggregation callback work,
+//! STOMP encode/decode of a labelled event, label parse/combine/check).
 //!
 //! Not a statistical benchmark — a measured reproduction of a figure.
 //! Run with `cargo bench -p safeweb-bench --bench breakdown`.
@@ -24,6 +27,7 @@ use safeweb_labels::{Label, LabelSet, Privilege, PrivilegeSet};
 use safeweb_mdt::password_for;
 use safeweb_stomp::codec::{encode, Decoder};
 use safeweb_stomp::Command;
+use safeweb_web::SafeWebApp;
 
 fn main() {
     frontend_breakdown();
@@ -33,47 +37,66 @@ fn main() {
 fn frontend_breakdown() {
     eprintln!("=== E4: Figure 5 — frontend latency breakdown ===");
     let (portal, app) = bench_portal(true);
-    let mdt = portal.mdts()[0].name.clone();
-    let req = Request::new(Method::Get, &format!("/mdt/{mdt}"))
-        .with_basic_auth(&mdt, &password_for(&mdt));
+    let requests: Vec<Request> = portal
+        .mdts()
+        .iter()
+        .map(|mdt| {
+            Request::new(Method::Get, &format!("/mdt/{}", mdt.name))
+                .with_basic_auth(&mdt.name, &password_for(&mdt.name))
+        })
+        .collect();
 
-    const N: u32 = 100;
-    let start = Instant::now();
-    for _ in 0..N {
-        let resp = app.handle(&req);
-        assert_eq!(resp.status(), 200);
-    }
-    let total_ms = start.elapsed().as_secs_f64() * 1000.0 / N as f64;
+    // Cold: the first request from each MDT user. The full KDF verifies
+    // its password, as the paper's basic auth did on every request, and
+    // its page is rendered and label-checked for the first time.
+    let cold = measure(&app, &requests, 1);
+    // Warm: the same users again, with their credentials cached.
+    const WARM_ROUNDS: usize = 5;
+    let warm = measure(&app, &requests, WARM_ROUNDS);
 
-    let stats = app.stats();
-    let per = |ns: u64| ns as f64 / 1e6 / stats.requests() as f64;
-    let auth = per(stats.auth_ns());
-    let fetch = per(stats.privilege_fetch_ns());
-    let render = per(stats.handler_ns());
-    let label = per(stats.label_check_ns());
-    let other = (total_ms - auth - fetch - render - label).max(0.0);
-
-    report_row("authentication", "87 ms", &format!("{auth:.3} ms"));
-    report_row("privilege fetching", "3 ms", &format!("{fetch:.3} ms"));
+    eprintln!(
+        "  [cold: first request of each of {} users]",
+        requests.len()
+    );
+    report_row("authentication", "87 ms", &format!("{:.3} ms", cold.auth));
+    report_row(
+        "privilege fetching",
+        "3 ms",
+        &format!("{:.3} ms", cold.fetch),
+    );
     report_row(
         "template rendering (handler)",
         "63 ms",
-        &format!("{render:.3} ms"),
+        &format!("{:.3} ms", cold.render),
     );
     report_row(
         "label propagation + check",
         "17 ms",
-        &format!("{label:.3} ms"),
+        &format!("{:.3} ms", cold.label),
     );
-    report_row("other", "10 ms", &format!("{other:.3} ms"));
+    report_row("other", "10 ms", &format!("{:.3} ms", cold.other()));
     report_row(
         "total page generation",
         "180 ms",
-        &format!("{total_ms:.3} ms"),
+        &format!("{:.3} ms", cold.total),
     );
-    let ordering_ok = auth > render && render > fetch;
     eprintln!(
-        "  breakdown ordering (auth > render > privilege fetch): {}",
+        "  [warm: {} requests, credentials cached]",
+        WARM_ROUNDS * requests.len()
+    );
+    report_row(
+        "authentication (cached credential)",
+        "-",
+        &format!("{:.3} ms", warm.auth),
+    );
+    report_row(
+        "total page generation",
+        "-",
+        &format!("{:.3} ms", warm.total),
+    );
+    let ordering_ok = cold.auth > cold.render && cold.render > cold.fetch;
+    eprintln!(
+        "  cold breakdown ordering (auth > render > privilege fetch): {}",
         if ordering_ok {
             "reproduced"
         } else {
@@ -81,6 +104,54 @@ fn frontend_breakdown() {
         }
     );
     eprintln!();
+}
+
+/// Mean per-request milliseconds, overall and per Figure-5 phase.
+struct Phases {
+    total: f64,
+    auth: f64,
+    fetch: f64,
+    render: f64,
+    label: f64,
+}
+
+impl Phases {
+    fn other(&self) -> f64 {
+        (self.total - self.auth - self.fetch - self.render - self.label).max(0.0)
+    }
+}
+
+/// Serves `rounds` passes over `requests` and reads the middleware's own
+/// phase counters around them.
+fn measure(app: &SafeWebApp, requests: &[Request], rounds: usize) -> Phases {
+    let stats = app.stats();
+    let counters = || {
+        [
+            stats.auth_ns(),
+            stats.privilege_fetch_ns(),
+            stats.handler_ns(),
+            stats.label_check_ns(),
+        ]
+    };
+    let before = counters();
+    let start = Instant::now();
+    for _ in 0..rounds {
+        for request in requests {
+            assert_eq!(app.handle(request).status(), 200);
+        }
+    }
+    let n = (rounds * requests.len()) as f64;
+    let total = duration_ms(start.elapsed()) / n;
+    let after = counters();
+    let [auth, fetch, render, label] =
+        std::array::from_fn(|i| (after[i] - before[i]) as f64 / 1e6 / n);
+    Phases {
+        total,
+        auth,
+        fetch,
+        render,
+        label,
+    }
 }
 
 fn backend_breakdown() {

@@ -192,7 +192,8 @@ fn bench_throughput(c: &mut Criterion) {
     eprintln!("\n=== E3: end-to-end event throughput (paper §5.3) ===");
 
     let (with_rate, without_rate) = sustained_rates(&with, &without, 50_000);
-    let drop_pct = (without_rate - with_rate) / without_rate * 100.0;
+    // Signed change, formatted once: negative is a slowdown.
+    let change_pct = (with_rate - without_rate) / without_rate * 100.0;
     eprintln!("  [aggregating consumer — Listing 1 shape]");
     report_row(
         "throughput without tracking",
@@ -204,12 +205,12 @@ fn bench_throughput(c: &mut Criterion) {
         "3817 events/s",
         &format!("{with_rate:.0} events/s"),
     );
-    report_row("reduction", "-17 %", &format!("-{drop_pct:.1} %"));
+    report_row("reduction", "-17 %", &format!("{change_pct:+.1} %"));
 
     let with_static = build_pair(true, false);
     let without_static = build_pair(false, false);
     let (ws, wos) = sustained_rates(&with_static, &without_static, 50_000);
-    let drop_static = (wos - ws) / wos * 100.0;
+    let change_static = (ws - wos) / wos * 100.0;
     eprintln!("  [stateless consumer — static labels]");
     report_row(
         "throughput without tracking",
@@ -221,7 +222,7 @@ fn bench_throughput(c: &mut Criterion) {
         "3817 events/s",
         &format!("{ws:.0} events/s"),
     );
-    report_row("reduction", "-17 %", &format!("-{drop_static:.1} %"));
+    report_row("reduction", "-17 %", &format!("{change_static:+.1} %"));
 }
 
 /// How subscriptions relate to the published topic in the publish-path

@@ -44,8 +44,11 @@ pub fn bench_registry() -> RegistryConfig {
 }
 
 /// Password-hash cost for the benches. Calibrated so that authentication
-/// dominates page latency as in the paper (87 ms of 180 ms on their Ruby
-/// stack; proportionally scaled here).
+/// dominates the latency of a *cold* page — a credential's first
+/// presentation, which runs the full KDF — as it dominated every page in
+/// the paper (87 ms of 180 ms on their Ruby stack; proportionally scaled
+/// here). Repeat presentations hit the verified-credential cache and skip
+/// the KDF.
 pub const BENCH_AUTH_ITERATIONS: u32 = 1_300_000;
 
 /// Builds a settled portal + frontend pair.

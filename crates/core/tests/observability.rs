@@ -221,3 +221,48 @@ fn ops_metrics_and_health_render_for_admins() {
     .unwrap();
     assert_eq!(unknown.status(), 404);
 }
+
+#[test]
+fn auth_cache_counters_show_cold_then_warm_verification() {
+    let deployment = submission_deployment();
+    let mut app = deployment.new_frontend();
+    app.get("/hello", |_ctx: &Ctx<'_>| {
+        SResponse::text(SStr::public("hi"))
+    });
+    let server = deployment
+        .serve(app, "127.0.0.1:0")
+        .expect("frontend binds");
+    let addr = server.addr().to_string();
+    // Cold (the KDF runs and the tag is cached), then warm.
+    for _ in 0..2 {
+        let response = client::send(
+            &addr,
+            Request::new(Method::Get, "/hello").with_basic_auth("operator", "pw"),
+        )
+        .unwrap();
+        assert_eq!(response.status(), 200);
+    }
+
+    let ops = deployment.serve_ops("127.0.0.1:0").expect("ops binds");
+    let metrics = client::send(
+        &ops.addr().to_string(),
+        Request::new(Method::Get, "/__obs/metrics").with_basic_auth("admin", "pw"),
+    )
+    .unwrap();
+    assert_eq!(metrics.status(), 200);
+    let body = safeweb_json::Value::parse(metrics.body_str().unwrap()).unwrap();
+    let count = |name: &str| body.get(name).and_then(|v| v.as_i64()).unwrap_or(0);
+    // The ops gate shares the store, so its own cold admin login counts
+    // too: one miss per principal, one hit for the operator's repeat.
+    assert_eq!(count("web.auth_cache.misses"), 2, "cold verifications");
+    assert_eq!(count("web.auth_cache.hits"), 1, "warm verification");
+    assert!(
+        !body
+            .as_object()
+            .unwrap()
+            .keys()
+            .any(|k| k.contains("operator") || k.contains("admin")),
+        "no username-derived metric names"
+    );
+    drop((ops, server));
+}

@@ -276,6 +276,25 @@ mod tests {
         }
     }
 
+    /// How many complete HTTP responses `bytes` starts with.
+    fn complete_responses(mut bytes: &[u8]) -> usize {
+        let mut count = 0;
+        while let Some(head_len) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&bytes[..head_len]).to_ascii_lowercase();
+            let body_len: usize = head
+                .lines()
+                .find_map(|line| line.strip_prefix("content-length:"))
+                .map_or(0, |v| v.trim().parse().expect("numeric content-length"));
+            let total = head_len + 4 + body_len;
+            if bytes.len() < total {
+                break;
+            }
+            bytes = &bytes[total..];
+            count += 1;
+        }
+        count
+    }
+
     #[test]
     fn pipelined_requests_are_answered_in_order() {
         let server = echo_server();
@@ -288,18 +307,14 @@ mod tests {
             wire.extend_from_slice(format!("GET /p{i} HTTP/1.1\r\n\r\n").as_bytes());
         }
         s.write_all(&wire).unwrap();
+        // Read until ten complete responses (head plus `content-length`
+        // body bytes) are in, however the bytes are split across reads.
         let mut got = Vec::new();
-        while got.len() < 10 * 40 {
+        while complete_responses(&got) < 10 {
             let mut buf = [0u8; 4096];
             let n = s.read(&mut buf).unwrap();
-            if n == 0 {
-                break;
-            }
+            assert!(n > 0, "connection closed after {} bytes", got.len());
             got.extend_from_slice(&buf[..n]);
-            let text = String::from_utf8_lossy(&got);
-            if (0..10).all(|i| text.contains(&format!("/p{i}"))) {
-                break;
-            }
         }
         let text = String::from_utf8_lossy(&got);
         let positions: Vec<usize> = (0..10)

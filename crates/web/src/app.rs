@@ -384,12 +384,16 @@ impl SafeWebApp {
     /// Wires the frontend's telemetry into `registry`: the Figure 5
     /// phase counters (`web.requests`, `web.auth_ns`,
     /// `web.privilege_fetch_ns`, `web.handler_ns`, `web.label_check_ns`,
-    /// `web.denied`), one `web.route_ns.<name>` latency histogram per
-    /// registered route (named by the author-written pattern), and —
-    /// only when render caching is enabled — the cache counters plus a
-    /// derived `web.render_cache.hit_rate` gauge. A cache-disabled
-    /// frontend registers *no* cache metrics, so its snapshots cannot
-    /// report stale zeros as live cache behaviour.
+    /// `web.denied`), the verified-credential cache counters
+    /// (`web.auth_cache.hits` for warm verifications,
+    /// `web.auth_cache.misses` for cold ones that ran the KDF, shared by
+    /// every clone of the user store), one `web.route_ns.<name>` latency
+    /// histogram per registered route (named by the author-written
+    /// pattern), and — only when render caching is enabled — the
+    /// render-cache counters plus a derived `web.render_cache.hit_rate`
+    /// gauge. A render-cache-disabled frontend registers *no* render-cache
+    /// metrics, so its snapshots cannot report stale zeros as live cache
+    /// behaviour.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         registry.register_counter("web.requests", &self.stats.requests);
         registry.register_counter("web.auth_ns", &self.stats.auth_ns);
@@ -397,6 +401,8 @@ impl SafeWebApp {
         registry.register_counter("web.handler_ns", &self.stats.handler_ns);
         registry.register_counter("web.label_check_ns", &self.stats.label_check_ns);
         registry.register_counter("web.denied", &self.stats.denied);
+        registry.register_counter("web.auth_cache.hits", self.users.cache_hits());
+        registry.register_counter("web.auth_cache.misses", self.users.cache_misses());
         for (name, histogram) in self.route_names.iter().zip(&self.route_ns) {
             registry.register_histogram(&format!("web.route_ns.{name}"), histogram);
         }
